@@ -48,6 +48,22 @@ if grep -rnE 'Mutex<ExploreDb>' --include='*.rs' crates/ src/ examples/; then
     exit 1
 fi
 
+echo "==> no-copy lint (shards are views: no row gathers or copy-on-write in crates/shard)"
+# A shard is a row range of the one canonical table, so sharding adds no
+# copy of its rows. Gathering rows or copy-on-writing a table in the
+# shard crate's non-test code would bring back a second, dual-written
+# copy. The lint covers only crates/shard: the engine's one sanctioned
+# whole-table copy is the copy-on-write in `ExploreDb::write_table`
+# (crates/core/src/engine.rs), which replaces the shared snapshot rather
+# than keeping a second copy beside it. Test modules (after
+# `#[cfg(test)]`) are exempt.
+if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+        !test && /\.gather\(|Arc::make_mut/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' crates/shard/src/*.rs; then
+    echo "error: row copy in crates/shard; shards are row ranges of the one table" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -1,10 +1,11 @@
 //! Sharded-table benches. Two headline records:
 //!
-//! * `shard_scaling/shards_4_vs_1` — wall-clock ratio (×100) of the
-//!   1-shard mirror over the 4-shard mirror on a mixed workload. The
-//!   merge replays the unsharded morsel decomposition, so sharding is
-//!   pure dispatch re-arrangement: the ratio should sit near parity
-//!   (100) on any host and above it when shard fan-out wins.
+//! * `shard_scaling/shards_4_vs_1` — wall-clock ratio (×100) of a
+//!   1-shard layout over a 4-shard layout on a mixed workload. Scans
+//!   fan out over row ranges of the one table and aggregates run the
+//!   unsharded path, so sharding is pure dispatch re-arrangement: the
+//!   ratio should sit near parity (100) on any host and above it when
+//!   shard fan-out wins.
 //! * `shard_epoch_locality/cross_shard_retention_pct` — after a
 //!   mutation routed to one shard, the percentage of the *other*
 //!   shards' cache entries still live. Per-shard epochs make this 100;

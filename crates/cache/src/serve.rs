@@ -30,10 +30,11 @@
 //! Any failure inside the subsumption path simply falls through to the
 //! miss path, which reproduces canonical errors and results.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use explore_exec::{evaluate_selection, run_query_on_selection, QueryCtx};
+use explore_exec::{evaluate_selection, run_query_on_selection, run_query_window, QueryCtx};
 use explore_obs::{CacheOutcome, SpanKind, ROOT_SPAN};
 use explore_storage::{Query, Result, Table};
 
@@ -52,7 +53,15 @@ pub fn cached_query(
     ctx: &QueryCtx,
 ) -> Result<Table> {
     let epoch = cache.epoch(table_name);
-    cached_query_at_epoch(cache, base, table_name, query, ctx, epoch)
+    cached_query_at_epoch(
+        cache,
+        base,
+        table_name,
+        query,
+        ctx,
+        epoch,
+        0..base.num_rows(),
+    )
 }
 
 /// [`cached_query`] with the admission epoch supplied by the caller.
@@ -66,6 +75,11 @@ pub fn cached_query(
 /// epoch were read here, after the caller's snapshot, a mutation in the
 /// window could leave pre-mutation data admitted under the
 /// post-mutation epoch — a stale entry the bump can no longer kill.
+///
+/// `rows` restricts a miss to that row window of `base`, for a shard
+/// cached under its own scope name; whole tables pass `0..num_rows`.
+/// Selections stay global row ids either way, so hits and subsumption
+/// serves need no window: a scope's entries only ever cover its rows.
 pub fn cached_query_at_epoch(
     cache: &ResultCache,
     base: &Table,
@@ -73,6 +87,7 @@ pub fn cached_query_at_epoch(
     query: &Query,
     ctx: &QueryCtx,
     epoch: u64,
+    rows: Range<usize>,
 ) -> Result<Table> {
     let fingerprint = Fingerprint::for_query(table_name, query);
 
@@ -102,16 +117,8 @@ pub fn cached_query_at_epoch(
     record_lookup(ctx, lookup_start, CacheOutcome::Miss);
     cache.note_miss();
 
-    // Mirror `run_query`'s error precedence: scan queries validate the
-    // projection before the predicate ever runs.
-    if query.aggregates.is_empty() && !query.projection.is_empty() {
-        let names: Vec<&str> = query.projection.iter().map(String::as_str).collect();
-        base.schema().project(&names)?;
-    }
-
     let started = Instant::now();
-    let sel = evaluate_selection(base, &query.predicate, ctx)?;
-    let result = run_query_on_selection(base, query, &sel, ctx)?;
+    let (sel, result) = run_query_window(base, query, rows, ctx)?;
     let cost_ns = started.elapsed().as_nanos();
 
     let result = Arc::new(result);

@@ -20,29 +20,30 @@
 //! catalog maps table names to [`Arc`]-shared per-table state; a query
 //! clones the `Arc`s it needs under a brief catalog read lock and runs
 //! lock-free thereafter against an immutable `Table` snapshot.
-//! Mutations take the owning table's write lock (and, for sharded
-//! tables, the owning shards' write locks), bump epochs exactly as the
+//! Mutations serialize on the owning table's writer lock, take its data
+//! write lock only to install a change, bump epochs exactly as the
 //! serialized engine did, and never block queries on *other* tables.
+//! Shards are row ranges of that one table (an `explore_shard` layout
+//! stored beside it), so there is one copy of the data and one write
+//! path whatever the shard policy.
 //!
-//! Lock ordering is strictly catalog → table data → sharded-mirror slot
-//! → shards (ascending) → cracker map, which makes deadlock impossible
-//! by construction (DESIGN.md §14). Epochs are read **before** data
-//! snapshots, so a racing mutation can only make a cache admission die
-//! young, never go stale. Per-session knobs (cancel token, deadline,
+//! Lock ordering is strictly catalog → table writer → table data →
+//! crackers, which makes deadlock impossible by construction
+//! (DESIGN.md §14). Epochs are read **before** data snapshots, so a
+//! racing mutation can only make a cache admission die young, never go
+//! stale. Per-session knobs (cancel token, deadline,
 //! policy overlays) live in a thread-local overlay stack installed by
 //! [`ExploreDb::with_session`] — there are no engine-global session
 //! fields left to race on.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use explore_aqp::{
     Bound, BoundedAnswer, BoundedExecutor, OnlineAggregation, SynopsisAnswer, SynopsisStore,
 };
 use explore_cache::{CachePolicy, CacheStats, ResultCache};
-use explore_cracking::ConcurrentCracker;
 use explore_cube::{CubeSession, DataCube, DiscoveryView};
 use explore_exec::{ExecPolicy, QueryCtx};
 use explore_fault::{CancelToken, FailPoints, Observer, QueryDeadline};
@@ -52,7 +53,7 @@ use explore_obs::{
 };
 use explore_prefetch::SpeculativeExecutor;
 use explore_sampling::SampleCatalog;
-use explore_shard::{run_sharded_query, scoped_name, ShardPolicy, ShardStats, ShardedTable};
+use explore_shard::{run_sharded_scan, scoped_name, ShardLayout, ShardPolicy, ShardStats};
 use explore_storage::{AggFunc, DataType, Predicate, Query, Result, StorageError, Table, Value};
 use explore_viz::seedb::{candidate_views, recommend_shared, ScoredView, SeedbStats};
 use parking_lot::{Mutex, RwLock};
@@ -74,42 +75,61 @@ thread_local! {
 /// since replaced.
 #[derive(Debug)]
 struct TableState {
-    /// The canonical table. Readers clone the `Arc` under a brief read
-    /// lock and run against that immutable snapshot; mutations hold the
-    /// write lock across the sharded-mirror write so the two copies
-    /// never diverge observably.
-    data: RwLock<Arc<Table>>,
-    /// Adaptive range indexes, keyed by column. Crackers reorganize
-    /// under their own internal locks; this map only guards presence.
-    crackers: Mutex<HashMap<String, Arc<ConcurrentCracker>>>,
-    /// The sharded mirror, present while the shard policy is on.
-    sharded: RwLock<Option<Arc<ShardedTable>>>,
-    /// Bumped under the data write lock after every data change.
-    /// `ensure_cracker` re-checks it before installing a freshly built
-    /// cracker, so an index built from a snapshot that a mutation has
-    /// since replaced is served once and never installed.
-    generation: AtomicU64,
+    /// The canonical table and its shard layout, read and replaced
+    /// together so a reader always sees a consistent (table, boundaries)
+    /// pair. Readers clone both `Arc`s under a brief read lock and run
+    /// against that immutable snapshot; mutations hold the write lock
+    /// across the data change and the layout's index invalidation.
+    data: RwLock<TableData>,
+    /// Serializes writers (mutations and relayouts), so a writer can
+    /// copy a shared table outside the data lock without racing another.
+    writer: Mutex<()>,
+}
+
+#[derive(Debug)]
+struct TableData {
+    table: Arc<Table>,
+    /// Row-range boundaries plus per-shard adaptive indexes: one range
+    /// while the shard policy is off.
+    layout: Arc<ShardLayout>,
 }
 
 impl TableState {
     fn new(table: Arc<Table>) -> Self {
+        let layout = Arc::new(ShardLayout::new(&ShardPolicy::Off, table.num_rows()));
         TableState {
-            data: RwLock::new(table),
-            crackers: Mutex::new(HashMap::new()),
-            sharded: RwLock::new(None),
-            generation: AtomicU64::new(0),
+            data: RwLock::new(TableData { table, layout }),
+            writer: Mutex::new(()),
         }
     }
 
     /// The current immutable data snapshot.
     fn snapshot(&self) -> Arc<Table> {
-        Arc::clone(&self.data.read())
+        Arc::clone(&self.data.read().table)
     }
 
-    /// The current sharded mirror, if any.
-    fn mirror(&self) -> Option<Arc<ShardedTable>> {
-        self.sharded.read().as_ref().map(Arc::clone)
+    /// The current shard layout.
+    fn layout(&self) -> Arc<ShardLayout> {
+        Arc::clone(&self.data.read().layout)
     }
+
+    /// A consistent snapshot, its layout, and the layout's index
+    /// generation, all read under one lock.
+    fn read(&self) -> (Arc<Table>, Arc<ShardLayout>, u64) {
+        let data = self.data.read();
+        let generation = data.layout.generation();
+        (
+            Arc::clone(&data.table),
+            Arc::clone(&data.layout),
+            generation,
+        )
+    }
+}
+
+/// The plan of an append: the rows land in the last shard, the only
+/// one whose range grows.
+fn last_shard(_: &Table, layout: &ShardLayout) -> Result<((), Vec<usize>)> {
+    Ok(((), vec![layout.shard_count() - 1]))
 }
 
 /// The unified exploration engine.
@@ -144,11 +164,10 @@ pub struct ExploreDb {
     /// Whether [`ExploreDb::query`] routes through the cache. `Off` (the
     /// default) is bit-identical to a cache-less engine.
     cache_policy: RwLock<CachePolicy>,
-    /// Whether registered tables are mirrored into row-range shards with
+    /// Whether registered tables split into row-range shards with
     /// per-shard cracking, caching, and epochs. `Off` (the default) is
-    /// the unchanged single-table engine. The mirrors themselves live in
-    /// each table's state; the canonical table stays authoritative, and
-    /// mutations dual-write under the canonical write lock.
+    /// the single-range layout. Layouts live in each table's state, as
+    /// boundaries over the one canonical table.
     shard_policy: RwLock<ShardPolicy>,
     /// The engine's tracer + metrics owner. Always allocated; recording
     /// is gated by `obs_policy` and costs one relaxed load while off.
@@ -243,12 +262,12 @@ impl ExploreDb {
         db
     }
 
-    /// Turn table sharding on or off (and retune it). `On` mirrors every
+    /// Turn table sharding on or off (and retune it). `On` splits every
     /// registered in-memory table into contiguous row-range shards, each
-    /// with its own cracker state and cache-epoch scope; queries fan out
+    /// with its own cracker state and cache-epoch scope; scans fan out
     /// per shard and merge bit-identically to the unsharded engine (see
-    /// `explore_shard`). `Off` drops the mirrors — the canonical tables
-    /// in the catalog were authoritative all along.
+    /// `explore_shard`). Either way only the layout changes: no row is
+    /// copied, and every table's adaptive indexes restart.
     pub fn set_shard_policy(&self, policy: ShardPolicy) {
         *self.shard_policy.write() = policy;
         let states: Vec<(String, Arc<TableState>)> = self
@@ -258,7 +277,7 @@ impl ExploreDb {
             .map(|(n, s)| (n.clone(), Arc::clone(s)))
             .collect();
         for (name, st) in states {
-            self.rebuild_shards(&st, &name);
+            self.relayout(&st, &name, None);
         }
     }
 
@@ -268,33 +287,39 @@ impl ExploreDb {
     }
 
     /// Per-shard layout, epoch, and index statistics for a table, or
-    /// `None` when the table has no sharded mirror (policy off, raw
-    /// table, or unknown name).
+    /// `None` when the table is not sharded (policy off, raw table, or
+    /// unknown name).
     pub fn shard_stats(&self, table: &str) -> Option<Vec<ShardStats>> {
         let st = self.catalog.read().get(table).cloned()?;
-        let mirror = st.mirror()?;
-        Some(mirror.stats(|i| self.result_cache.epoch(&scoped_name(table, i))))
+        let (data, layout, _) = st.read();
+        layout.sharded().then(|| {
+            layout.stats(data.num_rows(), |i| {
+                self.result_cache.epoch(&scoped_name(table, i))
+            })
+        })
     }
 
-    /// (Re)build `table`'s sharded mirror from the canonical snapshot,
-    /// installing it (or `None`, policy off) in the table's mirror slot.
-    /// Bumps every shard-scope epoch the change touches — the union of
-    /// the old and new shard ranges — so cache entries under scoped
-    /// names from any earlier sharding era, including one the policy was
-    /// toggled across, never survive into the new mirror.
-    fn rebuild_shards(&self, st: &TableState, name: &str) {
+    /// Give `name` a fresh layout under the current shard policy — over
+    /// `table` when given (re-registration), else over its current data
+    /// — dropping every adaptive index of the old layout. Copies no
+    /// rows. Bumps every shard-scope epoch the change touches — the
+    /// union of the old and new shard ranges — so cache entries under
+    /// scoped names from any earlier layout, including one the policy
+    /// was toggled across, never survive into the new one.
+    fn relayout(&self, st: &TableState, name: &str, table: Option<Arc<Table>>) {
         let policy = self.shard_policy();
-        let old_count = st.mirror().map_or(0, |m| m.shard_count());
-        let mirror = match &policy {
-            ShardPolicy::On(config) => {
-                let data = st.snapshot();
-                Some(Arc::new(ShardedTable::build(name, &data, config)))
+        let scopes = |l: &ShardLayout| if l.sharded() { l.shard_count() } else { 0 };
+        let touched = {
+            let _writer = st.writer.lock();
+            let mut data = st.data.write();
+            if let Some(table) = table {
+                data.table = table;
             }
-            _ => None,
+            let layout = Arc::new(ShardLayout::new(&policy, data.table.num_rows()));
+            let old = std::mem::replace(&mut data.layout, layout);
+            scopes(&old).max(scopes(&data.layout))
         };
-        let new_count = mirror.as_ref().map_or(0, |m| m.shard_count());
-        *st.sharded.write() = mirror;
-        for s in 0..old_count.max(new_count) {
+        for s in 0..touched {
             self.result_cache.bump_epoch(&scoped_name(name, s));
         }
     }
@@ -412,49 +437,31 @@ impl ExploreDb {
 
     /// Record that `table`'s data changed through a channel the engine
     /// did not see: bumps the cache epoch (so no pre-mutation result is
-    /// ever served again) — every shard-scope epoch included — drops the
-    /// table's adaptive indexes, which mirror the old data, and rebuilds
-    /// the sharded mirror from the canonical copy. The mutation APIs
-    /// below route mutations precisely instead (bumping only the owning
-    /// shard's epoch); callers that mutate through other channels get
-    /// this conservative whole-table invalidation.
+    /// ever served again) — every shard-scope epoch included — and
+    /// drops the table's adaptive indexes, which mirror the old data.
+    /// The mutation APIs below route mutations precisely instead
+    /// (bumping only the owning shards' epochs); callers that mutate
+    /// through other channels get this conservative whole-table
+    /// invalidation.
     pub fn note_mutation(&self, table: &str) {
         self.result_cache.bump_epoch(table);
         let st = self.catalog.read().get(table).cloned();
         if let Some(st) = st {
-            {
-                // Hold the data lock across the generation bump so a
-                // concurrent `ensure_cracker` can never install an
-                // index built from the superseded snapshot.
-                let _guard = st.data.write();
-                st.generation.fetch_add(1, Ordering::SeqCst);
-            }
-            st.crackers.lock().clear();
-            self.rebuild_shards(&st, table);
+            self.relayout(&st, table, None);
         }
     }
 
-    /// Whole-table invalidation: base epoch, every current shard-scope
-    /// epoch, and the table's adaptive indexes.
-    fn invalidate_table(&self, table: &str) {
+    /// Record a change to `shards` of `table` (a write, or a cracker
+    /// reorganization): bump the base epoch (whole-table results die)
+    /// and, when sharded, only those shards' scope epochs — the other
+    /// shards' cached results are still exact, and keeping them live is
+    /// the payoff of sharding.
+    fn bump_shard_epochs(&self, table: &str, layout: &ShardLayout, shards: &[usize]) {
         self.result_cache.bump_epoch(table);
-        if let Some(st) = self.catalog.read().get(table).cloned() {
-            let count = st.mirror().map_or(0, |m| m.shard_count());
-            for s in 0..count {
+        if layout.sharded() {
+            for &s in shards {
                 self.result_cache.bump_epoch(&scoped_name(table, s));
             }
-            st.crackers.lock().clear();
-        }
-    }
-
-    /// Record a mutation the sharded mirror already absorbed in place:
-    /// bump the base epoch (whole-table results die) and only the
-    /// mutated shards' scope epochs — the other shards' cached results
-    /// are still exact, and keeping them live is the payoff of sharding.
-    fn note_shard_epochs(&self, table: &str, mutated: &[usize]) {
-        self.result_cache.bump_epoch(table);
-        for &s in mutated {
-            self.result_cache.bump_epoch(&scoped_name(table, s));
         }
     }
 
@@ -496,22 +503,16 @@ impl ExploreDb {
         let existing = self.catalog.read().get(&name).cloned();
         match existing {
             Some(st) => {
-                {
-                    // Data first, bump second: a reader that saw the old
-                    // epoch gets either old data (fine) or new data
-                    // admitted under the old epoch (dies at the bump) —
-                    // never new-epoch/old-data.
-                    let mut data = st.data.write();
-                    *data = table;
-                    st.generation.fetch_add(1, Ordering::SeqCst);
-                }
-                st.crackers.lock().clear();
-                self.rebuild_shards(&st, &name);
+                // Data first, bump second: a reader that saw the old
+                // epoch gets either old data (fine) or new data
+                // admitted under the old epoch (dies at the bump) —
+                // never new-epoch/old-data.
+                self.relayout(&st, &name, Some(table));
                 self.result_cache.bump_epoch(&name);
             }
             None => {
                 let st = Arc::new(TableState::new(table));
-                self.rebuild_shards(&st, &name);
+                self.relayout(&st, &name, None);
                 self.catalog.write().insert(name, st);
             }
         }
@@ -519,52 +520,13 @@ impl ExploreDb {
 
     /// Append one row of dynamic values to an in-memory table.
     pub fn push_row(&self, table: &str, values: Vec<Value>) -> Result<()> {
-        self.fire_table_write()?;
-        let st = self.table_state(table)?;
-        let mutated = {
-            let mut data = st.data.write();
-            // The canonical write validates; the mirror's schema is
-            // identical, so the dual-write below routes to the owning
-            // (last) shard and cannot fail after this point.
-            Arc::make_mut(&mut *data).push_row(values.clone())?;
-            st.generation.fetch_add(1, Ordering::SeqCst);
-            match st.mirror() {
-                Some(m) => Some(m.push_row(values)?),
-                None => None,
-            }
-        };
-        st.crackers.lock().clear();
-        match mutated {
-            Some(shard) => self.note_shard_epochs(table, &[shard]),
-            None => {
-                self.result_cache.bump_epoch(table);
-            }
-        }
-        Ok(())
+        self.write_table(table, last_shard, |t, _| t.push_row(values))
     }
 
     /// Append all rows of `rows` (identical schema) to an in-memory
     /// table.
     pub fn append_rows(&self, table: &str, rows: &Table) -> Result<()> {
-        self.fire_table_write()?;
-        let st = self.table_state(table)?;
-        let mutated = {
-            let mut data = st.data.write();
-            Arc::make_mut(&mut *data).append(rows)?;
-            st.generation.fetch_add(1, Ordering::SeqCst);
-            match st.mirror() {
-                Some(m) => Some(m.append_rows(rows)?),
-                None => None,
-            }
-        };
-        st.crackers.lock().clear();
-        match mutated {
-            Some(shard) => self.note_shard_epochs(table, &[shard]),
-            None => {
-                self.result_cache.bump_epoch(table);
-            }
-        }
-        Ok(())
+        self.write_table(table, last_shard, |t, _| t.append(rows))
     }
 
     /// Set `column = value` on every row matching `predicate`; returns
@@ -577,12 +539,9 @@ impl ExploreDb {
         column: &str,
         value: Value,
     ) -> Result<usize> {
-        self.fire_table_write()?;
-        let st = self.table_state(table)?;
-        let (changed, mutated) = {
-            let mut data = st.data.write();
-            let sel = predicate.evaluate(&data)?;
-            let expected = data.column(column)?.data_type();
+        let plan = |t: &Table, layout: &ShardLayout| {
+            let sel = predicate.evaluate(t)?;
+            let expected = t.column(column)?.data_type();
             let compatible = matches!(
                 (expected, &value),
                 (DataType::Int64, Value::Int(_))
@@ -596,28 +555,53 @@ impl ExploreDb {
                     found: value.data_type().map_or("Null", DataType::name),
                 });
             }
-            if sel.is_empty() {
-                return Ok(0);
-            }
-            let t = Arc::make_mut(&mut *data);
-            for &row in &sel {
-                t.set_cell(column, row as usize, value.clone())?;
-            }
-            st.generation.fetch_add(1, Ordering::SeqCst);
-            let mutated = match st.mirror() {
-                Some(m) => Some(m.update_where(&sel, column, &value)?),
-                None => None,
-            };
-            (sel.len(), mutated)
+            let shards = layout.owners(&sel);
+            Ok((sel, shards))
         };
-        st.crackers.lock().clear();
-        match mutated {
-            Some(shards) => self.note_shard_epochs(table, &shards),
-            None => {
-                self.result_cache.bump_epoch(table);
-            }
+        let edit = |t: &mut Table, sel: &Vec<u32>| {
+            sel.iter()
+                .try_for_each(|&row| t.set_cell(column, row as usize, value.clone()))
+        };
+        Ok(self.write_table(table, plan, edit)?.len())
+    }
+
+    /// The one write path. Writers of a table serialize on its writer
+    /// lock; `plan` validates the change against the current snapshot
+    /// and names the shards it writes (none: nothing to do), then `edit`
+    /// applies it under the data write lock. While a reader shares the
+    /// snapshot the edit lands on a copy, made *before* the data lock is
+    /// taken so readers never wait for it; otherwise it lands in place.
+    /// The written shards' crackers drop and their epochs bump.
+    fn write_table<P>(
+        &self,
+        table: &str,
+        plan: impl FnOnce(&Table, &ShardLayout) -> Result<(P, Vec<usize>)>,
+        edit: impl FnOnce(&mut Table, &P) -> Result<()>,
+    ) -> Result<P> {
+        self.fire_table_write()?;
+        let st = self.table_state(table)?;
+        let _writer = st.writer.lock();
+        let (base, layout, _) = st.read();
+        let (plan, shards) = plan(&base, &layout)?;
+        if shards.is_empty() {
+            return Ok(plan);
         }
-        Ok(changed)
+        // Held here and by the table state alone: no reader shares it.
+        let copy = (Arc::strong_count(&base) > 2).then(|| Table::clone(&base));
+        drop(base);
+        {
+            let mut data = st.data.write();
+            match copy {
+                Some(mut t) => {
+                    edit(&mut t, &plan)?;
+                    data.table = Arc::new(t);
+                }
+                None => edit(Arc::make_mut(&mut data.table), &plan)?,
+            }
+            layout.invalidate(&shards);
+        }
+        self.bump_shard_epochs(table, &layout, &shards);
+        Ok(plan)
     }
 
     /// Attach a raw CSV file; queries against it run through the NoDB
@@ -800,24 +784,33 @@ impl ExploreDb {
             };
         }
         let st = self.table_state(table)?;
-        if let Some(m) = st.mirror() {
-            let cache = self.cache_on().then_some(&*self.result_cache);
-            return run_sharded_query(&m, cache, query, ctx);
+        let cache = self.cache_on().then_some(&*self.result_cache);
+        let layout = st.layout();
+        if layout.sharded() && query.aggregates.is_empty() {
+            // Scoped epochs first, then the snapshot. A layout swapped in
+            // between has its own scopes (all bumped after the swap), so
+            // that rare fan-out runs uncached.
+            let epochs: Vec<u64> = cache.map_or_else(Vec::new, |c| {
+                (0..layout.shard_count())
+                    .map(|s| c.epoch(&scoped_name(table, s)))
+                    .collect()
+            });
+            let (base, current, _) = st.read();
+            let cache = cache
+                .filter(|_| Arc::ptr_eq(&layout, &current))
+                .map(|c| (c, epochs.as_slice()));
+            return run_sharded_scan(&base, &current, table, cache, query, ctx);
         }
-        if self.cache_on() {
-            let epoch = self.result_cache.epoch(table);
-            let base = st.snapshot();
-            explore_cache::cached_query_at_epoch(
-                &self.result_cache,
-                &base,
-                table,
-                query,
-                ctx,
-                epoch,
-            )
-        } else {
-            let base = st.snapshot();
-            explore_exec::run_query(&base, query, ctx)
+        // Aggregates run over the whole table, sharded or not: every data
+        // change bumps the base epoch.
+        match cache {
+            Some(c) => {
+                let epoch = c.epoch(table);
+                let base = st.snapshot();
+                let rows = 0..base.num_rows();
+                explore_cache::cached_query_at_epoch(c, &base, table, query, ctx, epoch, rows)
+            }
+            None => explore_exec::run_query(&st.snapshot(), query, ctx),
         }
     }
 
@@ -851,35 +844,19 @@ impl ExploreDb {
         ctx.check_cancel()?;
         let token = self.session_token();
         let st = self.table_state(table)?;
-        let mirror = st.mirror();
-        let cracker = match &mirror {
-            // Sharded tables crack per shard; validate the column here so
-            // the error shape matches `ensure_cracker` exactly.
-            Some(_) => {
-                let t = st.snapshot();
-                let col = t.column(column)?;
-                col.as_i64().ok_or_else(|| StorageError::TypeMismatch {
-                    column: column.to_owned(),
-                    expected: "Int64",
-                    found: col.data_type().name(),
-                })?;
-                None
-            }
-            None => Some(self.ensure_cracker(&st, column)?),
-        };
+        let (t, layout, built_at) = st.read();
+        let col = t.column(column)?;
+        let values = col.as_i64().ok_or_else(|| StorageError::TypeMismatch {
+            column: column.to_owned(),
+            expected: "Int64",
+            found: col.data_type().name(),
+        })?;
         if self.faults.fire("crack.reorg") {
             // Injected reorganization failure: answer by scanning the
             // (never-reorganized) base column instead. Cracking writes
             // are discretionary, so skipping one changes convergence
             // rate, never answers.
             self.faults.note("fault.crack.scan_fallback");
-            let t = st.snapshot();
-            let col = t.column(column)?;
-            let values = col.as_i64().ok_or_else(|| StorageError::TypeMismatch {
-                column: column.to_owned(),
-                expected: "Int64",
-                found: col.data_type().name(),
-            })?;
             return Ok(values
                 .iter()
                 .enumerate()
@@ -887,38 +864,34 @@ impl ExploreDb {
                 .map(|(i, _)| i as u32)
                 .collect());
         }
-        if let Some(m) = mirror {
-            return self.cracked_range_sharded(table, column, low, high, token, &m);
-        }
-        let cracker = cracker.expect("cracker ensured on the unsharded path");
         let trace = self
             .obs
             .start(table, || format!("cracked_range({column}, {low}, {high})"));
-        let pieces_before = cracker.num_pieces();
-        let start = trace.as_ref().map(|t| t.now_ns());
-        let ids = cracker.query_ids(low, high, token.as_ref());
-        let pieces_after = cracker.num_pieces();
-        if let Some((t, start)) = trace.as_ref().zip(start) {
+        let pieces = || layout.index_pieces(column).unwrap_or(0) as u32;
+        let start = trace.as_ref().map(|t| (t.now_ns(), pieces()));
+        let (ids, reorganized) =
+            layout.cracked_range(column, values, built_at, low, high, token.as_ref());
+        if let Some((t, (start, pieces_before))) = trace.as_ref().zip(start) {
             t.record(
                 ROOT_SPAN,
                 SpanKind::Crack {
-                    pieces_before: pieces_before as u32,
-                    pieces_after: pieces_after as u32,
+                    pieces_before,
+                    pieces_after: pieces(),
                 },
                 start,
                 t.now_ns(),
             );
-            if pieces_after != pieces_before {
+            if !reorganized.is_empty() {
                 t.metrics().inc("crack.reorganizations", 1);
             }
         }
         // Cracking reorganizes the index copy, not the base table, so
-        // cached results stay byte-correct — but the ISSUE's protocol
-        // treats a reorganization as an epoch event, which keeps the
-        // cache conservative if cracking ever becomes in-place. Even an
-        // aborted (cancelled) call may have registered a boundary.
-        if pieces_after != pieces_before {
-            self.result_cache.bump_epoch(table);
+        // cached results stay byte-correct — but a reorganization is an
+        // epoch event, which keeps the cache conservative if cracking
+        // ever becomes in-place. Only the shards that grew pieces bump,
+        // and an aborted (cancelled) call may have registered some.
+        if !reorganized.is_empty() {
+            self.bump_shard_epochs(table, &layout, &reorganized);
         }
         if let Some(trace) = trace {
             trace.finish();
@@ -927,105 +900,12 @@ impl ExploreDb {
         ids
     }
 
-    /// The sharded variant of [`ExploreDb::cracked_range`]: each shard
-    /// cracks its own copy of the column independently, shards whose
-    /// piece count grew bump their scope epochs (plus the base epoch),
-    /// and matching global row ids come back concatenated in shard
-    /// order — cracked (physical) order within each shard, like the
-    /// unsharded path.
-    fn cracked_range_sharded(
-        &self,
-        table: &str,
-        column: &str,
-        low: i64,
-        high: i64,
-        token: Option<CancelToken>,
-        st: &ShardedTable,
-    ) -> Result<Vec<u32>> {
-        let trace = self
-            .obs
-            .start(table, || format!("cracked_range({column}, {low}, {high})"));
-        let pieces_before = st.index_pieces(column).unwrap_or(0);
-        let start = trace.as_ref().map(|t| t.now_ns());
-        let result = st.cracked_range(column, low, high, token.as_ref());
-        let pieces_after = st.index_pieces(column).unwrap_or(0);
-        if let Some((t, s)) = trace.as_ref().zip(start) {
-            t.record(
-                ROOT_SPAN,
-                SpanKind::Crack {
-                    pieces_before: pieces_before as u32,
-                    pieces_after: pieces_after as u32,
-                },
-                s,
-                t.now_ns(),
-            );
-            if pieces_after != pieces_before {
-                t.metrics().inc("crack.reorganizations", 1);
-            }
-        }
-        match &result {
-            // Reorganization is an epoch event (see the unsharded path),
-            // but a per-shard one: only the shards that grew pieces bump.
-            Ok((_, reorganized)) if !reorganized.is_empty() => {
-                for &s in reorganized {
-                    self.result_cache.bump_epoch(&scoped_name(table, s));
-                }
-                self.result_cache.bump_epoch(table);
-            }
-            // An aborted (cancelled) call may have reorganized some
-            // shards before stopping and cannot say which; invalidate
-            // conservatively.
-            Err(_) if pieces_after != pieces_before => self.invalidate_table(table),
-            _ => {}
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&result);
-        result.map(|(ids, _)| ids)
-    }
-
-    /// The table's cracker for `column`, building it on first use. A
-    /// build races mutations benignly: the generation counter is read
-    /// before the data snapshot, and a cracker whose generation went
-    /// stale by install time serves this one call but is never
-    /// installed — the next call rebuilds from current data.
-    fn ensure_cracker(&self, st: &TableState, column: &str) -> Result<Arc<ConcurrentCracker>> {
-        if let Some(c) = st.crackers.lock().get(column) {
-            return Ok(Arc::clone(c));
-        }
-        let built_at = st.generation.load(Ordering::SeqCst);
-        let t = st.snapshot();
-        let col = t.column(column)?;
-        let values = col
-            .as_i64()
-            .ok_or_else(|| StorageError::TypeMismatch {
-                column: column.to_owned(),
-                expected: "Int64",
-                found: col.data_type().name(),
-            })?
-            .to_vec();
-        let cracker = Arc::new(ConcurrentCracker::new(values));
-        let mut map = st.crackers.lock();
-        if st.generation.load(Ordering::SeqCst) == built_at {
-            let entry = map
-                .entry(column.to_owned())
-                .or_insert_with(|| Arc::clone(&cracker));
-            return Ok(Arc::clone(entry));
-        }
-        Ok(cracker)
-    }
-
     /// Pieces the adaptive index on (table, column) currently has —
     /// observability for convergence. For a sharded table, the sum of
     /// per-shard piece counts.
     pub fn index_pieces(&self, table: &str, column: &str) -> Option<usize> {
         let st = self.catalog.read().get(table).cloned()?;
-        let cracker = st.crackers.lock().get(column).map(Arc::clone);
-        if let Some(c) = cracker {
-            return Some(c.num_pieces());
-        }
-        st.mirror().and_then(|m| m.index_pieces(column))
+        st.layout().index_pieces(column)
     }
 
     /// Build (or rebuild) the sample catalog enabling approximate
@@ -1885,14 +1765,17 @@ mod tests {
         assert_eq!(snap.counter("prefetch.speculative_runs"), 2);
     }
 
+    fn sharded_engine(count: usize) -> ExploreDb {
+        ExploreDb::with_shard_policy(ShardPolicy::On(explore_shard::ShardConfig {
+            count,
+            min_rows_per_shard: 1,
+        }))
+    }
+
     #[test]
     fn sharded_engine_is_bitwise_and_observable() {
-        use explore_shard::{ShardConfig, ShardPolicy};
         let plain = engine_with_sales(5_000);
-        let db = ExploreDb::with_shard_policy(ShardPolicy::On(ShardConfig {
-            count: 4,
-            min_rows_per_shard: 1,
-        }));
+        let db = sharded_engine(4);
         assert!(db.shard_policy().is_on());
         db.register("sales", plain.table("sales").unwrap().clone());
         for q in [
@@ -1924,9 +1807,14 @@ mod tests {
             .evaluate(&plain.table("sales").unwrap())
             .unwrap();
         assert_eq!(got, want);
-        assert!(db.index_pieces("sales", "qty").unwrap() >= 4);
+        let pieces = db.index_pieces("sales", "qty").unwrap();
+        assert!(pieces >= 4);
+        // A repeat adds no pieces anywhere; an uncracked column has none.
+        db.cracked_range("sales", "qty", 3, 7).unwrap();
+        assert_eq!(db.index_pieces("sales", "qty"), Some(pieces));
+        assert!(db.index_pieces("sales", "price").is_none());
 
-        // Turning the policy off drops the mirrors; answers unchanged.
+        // Turning the policy off keeps answers unchanged.
         db.set_shard_policy(ShardPolicy::Off);
         assert!(db.shard_stats("sales").is_none());
         let q = Query::new().agg(AggFunc::Sum, "qty");
@@ -1937,47 +1825,181 @@ mod tests {
     }
 
     #[test]
+    fn sharded_aggregates_and_errors_match_unsharded() {
+        let plain = engine_with_sales(5_000);
+        let t = plain.table("sales").unwrap();
+        let q = Query::new()
+            .filter(Predicate::range("price", 50.0, 800.0))
+            .group("region")
+            .agg(AggFunc::Sum, "price")
+            .agg(AggFunc::Var, "discount")
+            .order("sum(price)", explore_storage::SortOrder::Desc);
+        let truth = plain.query("sales", &q).unwrap();
+        let bad = [
+            Query::new().filter(Predicate::cmp("no_such", explore_storage::CmpOp::Eq, 1.0)),
+            Query::new().select(&["ghost"]),
+            Query::new().agg(AggFunc::Sum, "region"),
+        ];
+        for count in [1, 2, 4, 7] {
+            let db = sharded_engine(count);
+            db.register("sales", t.clone());
+            let got = db.query("sales", &q).unwrap();
+            assert_eq!(truth.num_rows(), got.num_rows());
+            for field in truth.schema().fields() {
+                let (a, b) = (
+                    truth.column(field.name()).unwrap(),
+                    got.column(field.name()).unwrap(),
+                );
+                for row in 0..truth.num_rows() {
+                    match (a.value(row).unwrap(), b.value(row).unwrap()) {
+                        (Value::Float(x), Value::Float(y)) => {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{count} shards")
+                        }
+                        (x, y) => assert_eq!(x, y, "{count} shards"),
+                    }
+                }
+            }
+            for q in &bad {
+                assert_eq!(
+                    plain.query("sales", q).unwrap_err().to_string(),
+                    db.query("sales", q).unwrap_err().to_string(),
+                    "{count} shards"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn shard_mutations_bump_only_the_owning_scope() {
-        use explore_shard::{scoped_name, ShardConfig, ShardPolicy};
-        let db = ExploreDb::with_shard_policy(ShardPolicy::On(ShardConfig {
-            count: 4,
-            min_rows_per_shard: 1,
-        }));
+        let db = sharded_engine(4);
+        db.set_cache_policy(CachePolicy::on());
+        let ids = |r: std::ops::Range<i64>| {
+            Table::new(
+                explore_storage::Schema::of(&[("id", DataType::Int64)]),
+                vec![explore_storage::Column::from(r.collect::<Vec<i64>>())],
+            )
+            .unwrap()
+        };
+        db.register("t", ids(0..2_000));
+        let epochs = || -> Vec<u64> {
+            (0..4)
+                .map(|s| db.table_epoch(&scoped_name("t", s)))
+                .collect()
+        };
+        let before = epochs();
+        let base = db.table_epoch("t");
+
+        // push_row appends to the last shard: only scope 3 bumps.
+        db.push_row("t", vec![Value::Int(2_000)]).unwrap();
+        assert_eq!(db.table_epoch("t"), base + 1);
+        let after = epochs();
+        assert_eq!(after[..3], before[..3]);
+        assert_eq!(after[3], before[3] + 1);
+        // So does append_rows, which grows the last shard's range.
+        db.append_rows("t", &ids(2_001..4_001)).unwrap();
+        let stats = db.shard_stats("t").unwrap();
+        assert_eq!(stats[3].rows, 500 + 1 + 2_000);
+        assert_eq!(epochs()[..3], before[..3]);
+
+        // An update spanning rows of shards 0 and 1 bumps exactly those.
+        let before = epochs();
+        db.update_where(
+            "t",
+            &Predicate::range("id", 100i64, 700i64),
+            "id",
+            Value::Int(-1),
+        )
+        .unwrap();
+        let after = epochs();
+        assert_eq!(
+            after,
+            vec![before[0] + 1, before[1] + 1, before[2], before[3]]
+        );
+
+        // The one table holds the writes; a sharded count sees them all.
+        let q = Query::new().agg(AggFunc::Count, "id");
+        let n = db.query("t", &q).unwrap();
+        assert_eq!(n.column("count(id)").unwrap().as_f64().unwrap()[0], 4_001.0);
+
+        // An external-channel mutation is conservative: every scope bumps.
+        let before = epochs();
+        db.note_mutation("t");
+        for (s, &epoch) in before.iter().enumerate() {
+            assert!(db.table_epoch(&scoped_name("t", s)) > epoch);
+        }
+    }
+
+    #[test]
+    fn snapshots_are_immutable_under_sharded_mutation() {
+        let db = sharded_engine(4);
+        db.register(
+            "sales",
+            sales_table(&SalesConfig {
+                rows: 100,
+                ..SalesConfig::default()
+            }),
+        );
+        let held = db.table("sales").unwrap();
+        let row = held.row(0).unwrap();
+        db.push_row("sales", row).unwrap();
+        // The held snapshot still sees the pre-mutation table.
+        assert_eq!(held.num_rows(), 100);
+        assert_eq!(db.table("sales").unwrap().num_rows(), 101);
+        assert_eq!(db.shard_stats("sales").unwrap()[3].rows, 26);
+    }
+
+    #[test]
+    fn shard_stats_reflect_layout() {
+        let db = sharded_engine(4);
         db.set_cache_policy(CachePolicy::on());
         db.register(
             "sales",
             sales_table(&SalesConfig {
-                rows: 2_000,
+                rows: 1_000,
                 ..SalesConfig::default()
             }),
         );
-        let before: Vec<u64> = (0..4)
-            .map(|s| db.table_epoch(&scoped_name("sales", s)))
-            .collect();
-        let base = db.table_epoch("sales");
-
-        // push_row appends to the last shard: only scope 3 bumps.
-        let row = db.table("sales").unwrap().row(0).unwrap();
-        db.push_row("sales", row).unwrap();
-        assert_eq!(db.table_epoch("sales"), base + 1);
-        for (s, &epoch) in before.iter().enumerate().take(3) {
-            assert_eq!(db.table_epoch(&scoped_name("sales", s)), epoch);
+        db.cracked_range("sales", "qty", 2, 5).unwrap();
+        let stats = db.shard_stats("sales").unwrap();
+        assert_eq!(stats.len(), 4);
+        for (i, s) in stats.iter().enumerate() {
+            assert_eq!((s.shard, s.start, s.rows), (i, 250 * i, 250));
+            assert_eq!(s.epoch, db.table_epoch(&scoped_name("sales", i)));
+            assert_eq!(s.crackers, 1);
+            assert!(s.pieces >= 1);
         }
-        assert_eq!(db.table_epoch(&scoped_name("sales", 3)), before[3] + 1);
+    }
 
-        // The sharded mirror stays in sync with the canonical table.
-        let q = Query::new().agg(AggFunc::Count, "qty");
-        let n = db.query("sales", &q).unwrap();
-        assert_eq!(
-            n.column("count(qty)").unwrap().as_f64().unwrap()[0],
-            2_001.0
-        );
+    #[test]
+    fn index_pieces_follow_the_layout_across_policy_toggles() {
+        let db = engine_with_sales(5_000);
+        db.cracked_range("sales", "qty", 3, 7).unwrap();
+        let unsharded = db.index_pieces("sales", "qty").unwrap();
+        assert_eq!(unsharded, 3);
+        let shard_pieces = |db: &ExploreDb| -> usize {
+            db.shard_stats("sales")
+                .unwrap()
+                .iter()
+                .map(|s| s.pieces)
+                .sum()
+        };
 
-        // An external-channel mutation is conservative: every scope bumps.
-        db.note_mutation("sales");
-        for (s, &epoch) in before.iter().enumerate() {
-            assert!(db.table_epoch(&scoped_name("sales", s)) > epoch);
-        }
+        // On: the new layout starts without indexes, then reports the
+        // per-shard sum — never the old unsharded cracker.
+        db.set_shard_policy(ShardPolicy::On(explore_shard::ShardConfig {
+            count: 4,
+            min_rows_per_shard: 1,
+        }));
+        assert_eq!(db.index_pieces("sales", "qty"), None);
+        db.cracked_range("sales", "qty", 3, 7).unwrap();
+        assert_eq!(db.index_pieces("sales", "qty"), Some(shard_pieces(&db)));
+        assert_eq!(shard_pieces(&db), 12);
+
+        // Off again: the shards' indexes go with their layout.
+        db.set_shard_policy(ShardPolicy::Off);
+        assert_eq!(db.index_pieces("sales", "qty"), None);
+        db.cracked_range("sales", "qty", 3, 7).unwrap();
+        assert_eq!(db.index_pieces("sales", "qty"), Some(unsharded));
     }
 
     #[test]

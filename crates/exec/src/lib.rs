@@ -48,5 +48,5 @@ pub use policy::ExecPolicy;
 pub use pool::{default_parallelism, global_pool, ExecPool};
 pub use query::{
     evaluate_selection, morsel_count, morsel_range, morsel_rows_for, parallel_profitable,
-    run_query, run_query_on_selection, MAX_MORSELS,
+    run_query, run_query_on_selection, run_query_window, MAX_MORSELS,
 };

@@ -31,7 +31,7 @@ use std::borrow::Cow;
 use std::cell::UnsafeCell;
 
 use explore_obs::{SpanKind, ROOT_SPAN};
-use explore_storage::{Predicate, Query, Result, StorageError, Table, MORSEL_ROWS};
+use explore_storage::{Column, Predicate, Query, Result, Schema, StorageError, Table, MORSEL_ROWS};
 
 use crate::ctx::QueryCtx;
 use crate::policy::ExecPolicy;
@@ -85,9 +85,23 @@ pub fn evaluate_selection(
     predicate: &Predicate,
     ctx: &QueryCtx,
 ) -> Result<Vec<u32>> {
-    let n = table.num_rows();
+    evaluate_selection_range(table, predicate, 0..table.num_rows(), ctx)
+}
+
+/// [`evaluate_selection`] over the row window `rows` of `table` only:
+/// the window decomposes into morsels as a table of `rows.len()` rows
+/// would, and the selection holds ascending **global** row ids inside
+/// `rows`.
+fn evaluate_selection_range(
+    table: &Table,
+    predicate: &Predicate,
+    rows: std::ops::Range<usize>,
+    ctx: &QueryCtx,
+) -> Result<Vec<u32>> {
+    let n = rows.len();
     let pieces = run_morsels(ctx, morsel_count(n), "filter", |m| {
-        predicate.evaluate_range(table, morsel_range(m, n))
+        let window = morsel_range(m, n);
+        predicate.evaluate_range(table, rows.start + window.start..rows.start + window.end)
     })?;
     let mut sel = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
     for piece in pieces {
@@ -105,18 +119,12 @@ pub fn run_query(table: &Table, query: &Query, ctx: &QueryCtx) -> Result<Table> 
     let n_morsels = morsel_count(n);
 
     if query.aggregates.is_empty() {
-        // Scan query: project once, then gather each morsel's matches.
-        let projected;
-        let target = if query.projection.is_empty() {
-            table
-        } else {
-            let names: Vec<&str> = query.projection.iter().map(String::as_str).collect();
-            projected = table.project(&names)?;
-            &projected
-        };
+        // Scan query: resolve the output columns once, then gather each
+        // morsel's matches.
+        let (schema, columns) = scan_columns(table, query)?;
         let pieces = run_morsels(ctx, n_morsels, "scan", |m| {
             let sel = query.predicate.evaluate_range(table, morsel_range(m, n))?;
-            Ok(target.gather(&sel))
+            gather_columns(&schema, &columns, &sel)
         })?;
         let out = merge_traced(ctx, || {
             let mut iter = pieces.into_iter();
@@ -179,15 +187,10 @@ pub fn run_query_on_selection(
     let slice = |m: usize| &sel[bounds[m]..bounds[m + 1]];
 
     if query.aggregates.is_empty() {
-        let projected;
-        let target = if query.projection.is_empty() {
-            table
-        } else {
-            let names: Vec<&str> = query.projection.iter().map(String::as_str).collect();
-            projected = table.project(&names)?;
-            &projected
-        };
-        let pieces = run_morsels(ctx, n_morsels, "replay", |m| Ok(target.gather(slice(m))))?;
+        let (schema, columns) = scan_columns(table, query)?;
+        let pieces = run_morsels(ctx, n_morsels, "replay", |m| {
+            gather_columns(&schema, &columns, slice(m))
+        })?;
         let out = merge_traced(ctx, || {
             let mut iter = pieces.into_iter();
             let mut out = iter.next().expect("at least one morsel");
@@ -209,6 +212,52 @@ pub fn run_query_on_selection(
         )?;
         query.apply_order_limit(merged)
     }
+}
+
+/// Execute `query` over the row window `rows` of `table` only (one
+/// shard of it), with [`run_query`]'s error precedence: a scan query's
+/// projection is validated before the predicate runs. Returns the
+/// selection — ascending **global** row ids inside `rows` — with the
+/// result, which is [`run_query_on_selection`] over that selection, so
+/// a whole-table window (`0..num_rows`) gives `run_query`'s bits.
+pub fn run_query_window(
+    table: &Table,
+    query: &Query,
+    rows: std::ops::Range<usize>,
+    ctx: &QueryCtx,
+) -> Result<(Vec<u32>, Table)> {
+    if query.aggregates.is_empty() {
+        scan_columns(table, query)?;
+    }
+    let sel = evaluate_selection_range(table, &query.predicate, rows, ctx)?;
+    let result = run_query_on_selection(table, query, &sel, ctx)?;
+    Ok((sel, result))
+}
+
+/// The columns a scan query returns — its projection's, or all of
+/// `table`'s — resolved once, so a bad projection surfaces before the
+/// predicate runs. Morsels then gather only their selected cells of
+/// these columns; projecting the table first would copy every row of
+/// every projected column, whatever the selection.
+fn scan_columns<'t>(table: &'t Table, query: &Query) -> Result<(Schema, Vec<&'t Column>)> {
+    if query.projection.is_empty() {
+        return Ok((table.schema().clone(), table.columns().iter().collect()));
+    }
+    let names: Vec<&str> = query.projection.iter().map(String::as_str).collect();
+    let schema = table.schema().project(&names)?;
+    let columns = names
+        .iter()
+        .map(|name| table.column(name))
+        .collect::<Result<_>>()?;
+    Ok((schema, columns))
+}
+
+/// The rows `sel` of the scan columns resolved by [`scan_columns`].
+fn gather_columns(schema: &Schema, columns: &[&Column], sel: &[u32]) -> Result<Table> {
+    Table::new(
+        schema.clone(),
+        columns.iter().map(|c| c.gather(sel)).collect(),
+    )
 }
 
 /// Run `f` once per morsel index under the context's policy and collect

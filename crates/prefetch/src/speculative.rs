@@ -266,9 +266,15 @@ impl SpeculativeExecutor {
             // The shared path serves hits, subsumption reuse and
             // admission inside `cached_query_at_epoch`, admitting under
             // the attach-time epoch.
-            Some(s) => {
-                cached_query_at_epoch(&s.cache, &self.table, &s.table_name, &query, &ctx, s.epoch)?
-            }
+            Some(s) => cached_query_at_epoch(
+                &s.cache,
+                &self.table,
+                &s.table_name,
+                &query,
+                &ctx,
+                s.epoch,
+                0..self.table.num_rows(),
+            )?,
             None => query.run(&self.table)?,
         };
         let name = format!("{}({})", req.func, req.measure);
@@ -399,6 +405,7 @@ mod tests {
             &q,
             &QueryCtx::none(),
             shared.epoch("sales"),
+            0..t.num_rows(),
         )
         .unwrap();
         assert_eq!(shared.stats().hits, hits_before + 1);

@@ -1,8 +1,9 @@
 //! Engine-level sharding policy, following the house `CachePolicy` /
 //! `ObsPolicy` shape: `Off` (the default) is the zero-cost single-table
-//! path, `On(config)` mirrors every registered table into independent
+//! path, `On(config)` splits every registered table into independent
 //! row-range shards.
 
+use explore_exec::morsel_rows_for;
 use explore_storage::MORSEL_ROWS;
 
 /// How a registered table is partitioned into shards.
@@ -36,9 +37,30 @@ impl ShardConfig {
             .min(n_rows / self.min_rows_per_shard.max(1))
             .max(1)
     }
+
+    /// The first global row of each shard of a table of `n_rows` rows
+    /// (`effective_count` entries, the first 0). The split is contiguous
+    /// and near-balanced: shard `i` of `k` ends at `(i+1)*n/k`, **snapped
+    /// to the executor's global morsel grid** when every shard spans at
+    /// least one morsel, so no morsel of the table straddles two shards.
+    pub(crate) fn starts(&self, n_rows: usize) -> Vec<usize> {
+        let k = self.effective_count(n_rows);
+        let rows_per = morsel_rows_for(n_rows);
+        (0..k)
+            .map(|i| {
+                if n_rows / k >= rows_per {
+                    // Boundaries spaced ≥ one morsel apart stay strictly
+                    // increasing after rounding to the grid.
+                    ((i * n_rows + k * rows_per / 2) / (k * rows_per)) * rows_per
+                } else {
+                    i * n_rows / k
+                }
+            })
+            .collect()
+    }
 }
 
-/// Whether `ExploreDb` mirrors registered tables into shards.
+/// Whether `ExploreDb` splits registered tables into shards.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
     /// No sharding: queries run against the single registered table.
@@ -46,8 +68,8 @@ pub enum ShardPolicy {
     /// engine.
     #[default]
     Off,
-    /// Tables are mirrored into independent row-range shards, each with
-    /// its own cracker state, cache epoch, and stats.
+    /// Tables split into contiguous row-range shards of the one table,
+    /// each with its own cracker state, cache epoch, and stats.
     On(ShardConfig),
 }
 
@@ -93,6 +115,41 @@ mod tests {
         };
         assert_eq!(loose.effective_count(3), 3);
         assert_eq!(loose.effective_count(100), 7);
+    }
+
+    #[test]
+    fn starts_snap_to_the_morsel_grid() {
+        let c = |count| ShardConfig {
+            count,
+            min_rows_per_shard: 1,
+        };
+        // Every shard spans at least one morsel: interior starts are
+        // whole morsels (the nearest grid point to i*n/k).
+        let n = 2 * MORSEL_ROWS + 4321;
+        assert_eq!(c(2).starts(n), vec![0, MORSEL_ROWS]);
+        let four = c(4).starts(4 * MORSEL_ROWS + 7);
+        assert_eq!(four, vec![0, MORSEL_ROWS, 2 * MORSEL_ROWS, 3 * MORSEL_ROWS]);
+        // Coarse morsels on big tables: starts follow the adaptive size.
+        let big = 200 * MORSEL_ROWS;
+        let rows_per = morsel_rows_for(big);
+        assert!(rows_per > MORSEL_ROWS);
+        let starts = c(3).starts(big);
+        assert!(starts.iter().all(|s| s % rows_per == 0), "{starts:?}");
+        assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
+        // Sub-morsel shards keep the plain balanced split.
+        assert_eq!(c(4).starts(1003), vec![0, 250, 501, 752]);
+        assert_eq!(c(3).starts(2 * MORSEL_ROWS).len(), 3);
+        assert_eq!(
+            c(3).starts(2 * MORSEL_ROWS)[1],
+            2 * MORSEL_ROWS / 3,
+            "shards under one morsel are not snapped"
+        );
+        // The effective_count clamp: a table too small for the count
+        // (by the default one-morsel minimum) stays one shard.
+        let default = ShardConfig::default();
+        assert_eq!(default.starts(MORSEL_ROWS - 1), vec![0]);
+        assert_eq!(default.starts(0), vec![0]);
+        assert_eq!(default.starts(2 * MORSEL_ROWS), vec![0, MORSEL_ROWS]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Tearing is made observable by construction: each mutator owns one
 //! region of rows and every update sets the *whole* region to a single
-//! new value, atomically under the table (and shard) write locks. Any
+//! new value, atomically under the table's write lock. Any
 //! snapshot therefore shows `min == max` inside each region; a reader
 //! that ever observes `min != max` caught a half-applied write.
 //!
@@ -241,9 +241,9 @@ fn readers_never_see_torn_data_under_mutation_and_chaos() {
     }
 }
 
-/// The same property with per-shard write locks in play: regions
-/// coincide with shards, so the mutators exercise disjoint-shard
-/// concurrent mutation while readers fan out across all shards.
+/// The same property with sharding on: regions coincide with shards,
+/// so the mutators exercise disjoint-shard concurrent mutation while
+/// readers fan out across all shards.
 #[test]
 fn sharded_readers_never_see_torn_data_under_mutation_and_chaos() {
     for iter in 0..stress_iters() {

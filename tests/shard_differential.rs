@@ -329,8 +329,7 @@ fn mutation_in_one_shard_keeps_other_shards_cached() {
 }
 
 /// Two sessions mutating *disjoint* shards of the same table from two
-/// threads (the ROADMAP per-shard-lock follow-on): both mutated shards'
-/// epochs bump, the untouched shards' epochs — and cache entries —
+/// threads: both mutated shards' epochs bump, the untouched shards' epochs — and cache entries —
 /// survive, and the final table is bit-identical to an unsharded engine
 /// that applied the same updates serially. The row-indexed `id` column
 /// makes shard ownership of each update deterministic: 4 shards ×
@@ -435,6 +434,97 @@ fn two_sessions_mutating_disjoint_shards_keep_other_shards_warm() {
         &got,
         "post-mutation scan vs unsharded truth",
     );
+}
+
+/// Cracker locality: each shard's adaptive indexes live and die with
+/// that shard's rows. With `qty` cracked in all 4 shards, an append
+/// drops only the last shard's crackers, an update confined to shard 1
+/// drops only shard 1's, and a crack cancelled partway bumps exactly the
+/// scopes whose piece count changed, so the untouched shards' cached
+/// scans stay live.
+#[test]
+fn cracker_state_and_crack_epochs_stay_local_to_their_shards() {
+    let rows = 4_000i64;
+    let t = Table::new(
+        Schema::of(&[("id", DataType::Int64), ("qty", DataType::Int64)]),
+        vec![
+            Column::from((0..rows).collect::<Vec<i64>>()),
+            Column::from((0..rows).map(|i| (i * 7) % 10).collect::<Vec<i64>>()),
+        ],
+    )
+    .unwrap();
+    let db = ExploreDb::with_shard_policy(shard_policy(4));
+    db.set_cache_policy(roomy_policy());
+    db.register("t", t);
+    let indexes = |db: &ExploreDb| -> Vec<(usize, usize)> {
+        db.shard_stats("t")
+            .unwrap()
+            .iter()
+            .map(|s| (s.crackers, s.pieces))
+            .collect()
+    };
+
+    db.cracked_range("t", "qty", 3, 7).unwrap();
+    let cracked = indexes(&db);
+    assert!(cracked.iter().all(|&(c, p)| c == 1 && p > 1), "{cracked:?}");
+
+    // push_row lands in shard 3: only its crackers go.
+    db.push_row("t", vec![Value::Int(rows), Value::Int(5)])
+        .unwrap();
+    let after = indexes(&db);
+    assert_eq!(after[..3], cracked[..3]);
+    assert_eq!(after[3], (0, 0));
+
+    // An update confined to shard 1 drops only shard 1's crackers.
+    db.cracked_range("t", "qty", 3, 7).unwrap();
+    let cracked = indexes(&db);
+    assert_eq!(cracked[3], cracked[0]);
+    db.update_where(
+        "t",
+        &Predicate::range("id", 1_000i64, 1_100i64),
+        "qty",
+        Value::Int(0),
+    )
+    .unwrap();
+    let after = indexes(&db);
+    assert_eq!(after, vec![cracked[0], (0, 0), cracked[2], cracked[3]]);
+
+    // Warm one scan entry per shard, then crack a new range under a
+    // token that cancels partway through the shards.
+    let scan = Query::new().filter(Predicate::cmp("id", CmpOp::Ge, 0i64));
+    db.query("t", &scan).unwrap();
+    let cache = db.cache();
+    let live =
+        |shard: usize| cache.contains(&Fingerprint::for_query(&scoped_name("t", shard), &scan));
+    assert!((0..4).all(live));
+    let pieces_before = indexes(&db);
+    let epochs_before: Vec<u64> = (0..4)
+        .map(|s| db.table_epoch(&scoped_name("t", s)))
+        .collect();
+    let base_before = db.table_epoch("t");
+    let overlay = SessionCtx::default().with_cancel(Some(CancelToken::after_checks(4)));
+    let result = db.with_session(&overlay, |db| db.cracked_range("t", "qty", 1, 9));
+    assert_eq!(result.unwrap_err(), StorageError::Cancelled);
+
+    let pieces_after = indexes(&db);
+    let changed: Vec<usize> = (0..4)
+        .filter(|&s| pieces_after[s].1 != pieces_before[s].1)
+        .collect();
+    assert!(!changed.is_empty(), "the crack got partway");
+    assert!(
+        !changed.contains(&3),
+        "the crack was cancelled before shard 3"
+    );
+    assert_eq!(db.table_epoch("t"), base_before + 1);
+    for (s, &before) in epochs_before.iter().enumerate() {
+        let bumped = changed.contains(&s);
+        assert_eq!(
+            db.table_epoch(&scoped_name("t", s)),
+            before + u64::from(bumped),
+            "shard {s}"
+        );
+        assert_eq!(live(s), !bumped, "shard {s} scan entry");
+    }
 }
 
 /// Fail points reachable through a sharded `ExploreDb::query`, the two
@@ -542,7 +632,7 @@ fn seeded_shard_fault_schedules_never_corrupt_results() {
         }
 
         // Disarm and re-query the SAME engine: any corruption a fault
-        // left behind (cache entry, shard mirror, pool) surfaces here.
+        // left behind (cache entry, shard layout, pool) surfaces here.
         faults.disarm_all();
         let clean = db
             .query("sales", query)
